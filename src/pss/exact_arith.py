@@ -2,9 +2,10 @@
 
 Everything on the main computation path is exact: values are rational
 multiples of pi**a * sqrt(d) * e(phase/8), and Laurent expansions of
-L-functions carry their leading coefficients with formal ``log p`` and
-Euler-gamma symbols attached.  Floating point only enters through the
-``float_value`` helpers used by numeric cross-checks in the tests.
+L-functions carry only their leading coefficient, with formal ``log p``
+symbols attached so that their cancellation can be checked.  Floating
+point only enters through ``SymbolicConstant.float_value``, used by
+numeric cross-checks in the tests.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ SYM_ONE = sym(1)
 
 
 # ---------------------------------------------------------------------------
-# formal terms: symbolic constants scaled by log-prime powers and Euler gamma
+# formal terms: symbolic constants scaled by log-prime powers
 
 
 class _Unknown:
@@ -376,21 +377,20 @@ UNKNOWN = _Unknown()
 
 @dataclass(frozen=True)
 class FormalTerm:
-    """sym * prod_p (log p)**e_p * euler_gamma**e, exponents in Z."""
+    """sym * prod_p (log p)**e_p, exponents in Z."""
 
     sym: SymbolicConstant
     logs: tuple[tuple[int, int], ...] = ()
-    euler: int = 0
 
     def __post_init__(self) -> None:
         assert all(e != 0 for _, e in self.logs)
         assert list(self.logs) == sorted(self.logs)
         if self.sym.is_zero:
-            assert not self.logs and not self.euler
+            assert not self.logs
 
     @property
     def is_plain(self) -> bool:
-        return not self.logs and not self.euler
+        return not self.logs
 
     def __mul__(self, other: "FormalTerm") -> "FormalTerm":
         merged: dict[int, int] = dict(self.logs)
@@ -401,47 +401,22 @@ class FormalTerm:
         s = self.sym * other.sym
         if s.is_zero:
             return FormalTerm(SYM_ZERO)
-        return FormalTerm(s, tuple(sorted(merged.items())), self.euler + other.euler)
+        return FormalTerm(s, tuple(sorted(merged.items())))
 
     def scale(self, a: Rat) -> "FormalTerm":
         s = self.sym * _frac(a)
         if s.is_zero:
             return FormalTerm(SYM_ZERO)
-        return FormalTerm(s, self.logs, self.euler)
+        return FormalTerm(s, self.logs)
 
     def inverse(self) -> "FormalTerm":
-        assert self.euler == 0, "cannot invert Euler gamma"
         return FormalTerm(
-            self.sym.inverse(), tuple((p, -e) for p, e in self.logs), 0
+            self.sym.inverse(), tuple((p, -e) for p, e in self.logs)
         )
-
-    def float_value(self) -> complex:
-        v = self.sym.float_value()
-        for p, e in self.logs:
-            v *= math.log(p) ** e
-        v *= 0.5772156649015329 ** self.euler
-        return v
 
 
 def plain_term(c: Rat) -> FormalTerm:
     return FormalTerm(sym(c))
-
-
-def _combine_terms(terms: tuple[FormalTerm, ...]) -> tuple[FormalTerm, ...]:
-    keyed: dict[tuple, FormalTerm] = {}
-    for t in terms:
-        if t.sym.is_zero:
-            continue
-        key = (t.sym.pi_exp, t.sym.radicand, t.sym.phase % 4, t.logs, t.euler)
-        if key in keyed:
-            merged = keyed[key].sym + t.sym
-            if merged.is_zero:
-                del keyed[key]
-            else:
-                keyed[key] = FormalTerm(merged, t.logs, t.euler)
-        else:
-            keyed[key] = t
-    return tuple(keyed.values())
 
 
 # ---------------------------------------------------------------------------
@@ -453,14 +428,13 @@ class LaurentFactor:
     """Leading Laurent behavior of one factor at an expansion point.
 
     ``pole_order`` is positive for poles and negative for zeros; c0 is the
-    leading coefficient (never zero) and c1, when tracked, is the next one.
+    leading coefficient (never zero), the only one any value needs.
     c0 = UNKNOWN marks a finite but transcendental leading coefficient; it
     propagates through products and only errors if actually consumed.
     """
 
     pole_order: int
     c0: "FormalTerm | _Unknown"
-    c1: Optional[tuple[FormalTerm, ...]] = None
 
     def __post_init__(self) -> None:
         if isinstance(self.c0, FormalTerm):
@@ -474,25 +448,12 @@ class LaurentFactor:
         order = self.pole_order + other.pole_order
         if isinstance(self.c0, _Unknown) or isinstance(other.c0, _Unknown):
             return LaurentFactor(order, UNKNOWN)
-        c0 = self.c0 * other.c0
-        c1 = None
-        if self.c1 is not None and other.c1 is not None:
-            c1 = _combine_terms(
-                tuple(self.c0 * t for t in other.c1)
-                + tuple(t * other.c0 for t in self.c1)
-            )
-        return LaurentFactor(order, c0, c1)
+        return LaurentFactor(order, self.c0 * other.c0)
 
     def inverse(self) -> "LaurentFactor":
         if isinstance(self.c0, _Unknown):
             return LaurentFactor(-self.pole_order, UNKNOWN)
-        inv0 = self.c0.inverse()
-        c1 = None
-        if self.c1 is not None:
-            c1 = _combine_terms(
-                tuple(t.scale(-1) * inv0 * inv0 for t in self.c1)
-            )
-        return LaurentFactor(-self.pole_order, inv0, c1)
+        return LaurentFactor(-self.pole_order, self.c0.inverse())
 
     def rescale(self, a: Rat) -> "LaurentFactor":
         """Variable change s -> a*s (the factor was expanded in a*s)."""
@@ -501,10 +462,7 @@ class LaurentFactor:
         if isinstance(self.c0, _Unknown):
             return LaurentFactor(self.pole_order, UNKNOWN)
         c0 = self.c0.scale(a ** (-self.pole_order))
-        c1 = None
-        if self.c1 is not None:
-            c1 = tuple(t.scale(a ** (1 - self.pole_order)) for t in self.c1)
-        return LaurentFactor(self.pole_order, c0, c1)
+        return LaurentFactor(self.pole_order, c0)
 
     def value(self) -> SymbolicConstant:
         """The finite value: 0 past a zero, c0 at order 0, error at a pole."""
@@ -531,12 +489,12 @@ class LaurentFactor:
         return c.sym
 
 
-def laurent_value(c: Rat | SymbolicConstant, c1: Optional[tuple[FormalTerm, ...]] = None) -> LaurentFactor:
+def laurent_value(c: Rat | SymbolicConstant) -> LaurentFactor:
     s = c if isinstance(c, SymbolicConstant) else sym(c)
-    return LaurentFactor(0, FormalTerm(s), c1)
+    return LaurentFactor(0, FormalTerm(s))
 
 
-LAURENT_ONE = laurent_value(1, c1=())
+LAURENT_ONE = laurent_value(1)
 
 
 def euler_monomial(p: int, u: Rat, slope: int, coeff: int = 1) -> LaurentFactor:
@@ -550,11 +508,8 @@ def euler_monomial(p: int, u: Rat, slope: int, coeff: int = 1) -> LaurentFactor:
     assert u.denominator == 1
     val = 1 - Fraction(coeff) * Fraction(p) ** u
     if val == 0:
-        return LaurentFactor(
-            -1, FormalTerm(sym(slope), ((p, 1),)), c1=None
-        )
-    c1 = (FormalTerm(sym(slope * coeff * Fraction(p) ** u), ((p, 1),)),)
-    return LaurentFactor(0, plain_term(val), c1)
+        return LaurentFactor(-1, FormalTerm(sym(slope), ((p, 1),)))
+    return LaurentFactor(0, plain_term(val))
 
 
 # ---------------------------------------------------------------------------
@@ -567,7 +522,7 @@ class UnsupportedLValue(ValueError):
 
 def _zeta_factor(s: int, unknown_ok: bool) -> LaurentFactor:
     if s == 1:
-        return LaurentFactor(1, plain_term(1), (FormalTerm(SYM_ONE, (), 1),))
+        return LaurentFactor(1, plain_term(1))
     if s <= 0:
         k = 1 - s
         v = -bernoulli_number(k) / k if k > 1 else Fraction(-1, 2)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Sequence
 
 
 @dataclass(frozen=True)
@@ -393,13 +393,6 @@ def _check_milgram(form: DiscriminantForm) -> None:
     assert abs(total - expected) < 1e-9, (
         f"Milgram sum failed: {total} vs {expected}"
     )
-
-
-def element_invariants(
-    form: DiscriminantForm, gamma: DFElement, delta: DFElement
-) -> tuple[Fraction, Fraction, int]:
-    """(q(gamma), <gamma, delta>, order of gamma) for group elements."""
-    return form.q(gamma), form.pairing(gamma, delta), form.denominator(gamma)
 
 
 def augment_lattice(gram: GramMatrix, m: Fraction | int) -> GramMatrix:

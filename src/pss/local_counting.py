@@ -24,13 +24,11 @@ from .exact_arith import (
     DirichletCharacter,
     LaurentFactor,
     FormalTerm,
-    UNKNOWN,
     SymbolicConstant,
     euler_monomial,
     factorize,
     kronecker_symbol,
     l_value,
-    plain_term,
     sym,
 )
 from .lattice_core import DFElement, DiscriminantForm
@@ -564,8 +562,16 @@ class LocalFactorCache:
         self.entries: dict[str, LocalFactor] = {}
         if path and os.path.exists(path):
             with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-            assert raw.get("version") == 1, "unknown cache format"
+                try:
+                    raw = json.load(fh)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        "cache file %s is not valid JSON: %s" % (path, exc)
+                    ) from exc
+            if not isinstance(raw, dict) or raw.get("version") != 1:
+                raise ValueError(
+                    "cache file %s has an unknown format (want version 1)"
+                    % path)
             for key, (p, dim, nums, ver) in raw.get("entries", {}).items():
                 self.entries[key] = LocalFactor(p, dim, tuple(nums), ver)
         self._dirty = False

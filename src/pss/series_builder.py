@@ -9,15 +9,14 @@ series are covered:
 
 * Poincare square series of weight 2 for lattices of even rank.  Their
   shadow terms contribute a correction built from real quadratic unit
-  orbits; the correction is rational exactly when the discriminant group
-  order is a perfect square and otherwise is a rational multiple of a
-  square root.
+  orbits.  When the discriminant group order is not a perfect square, the
+  shadow constants carry a square root that cancels against the orbit sums.
 
 * Plain Eisenstein series of weight 3/2 (the m = 0 specialisation, which
   only needs the lattice).
 
-Coefficients are exact: rational numbers or rational multiples of a single
-square root, never floats.
+Every coefficient is a ``Fraction``.  A term that does not simplify to a
+rational number raises ``RationalityError``.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from .local_counting import (
     ltilde_at,
 )
 from .pell_engine import (
-    QuadraticElement,
     family_sum,
     fundamental_unit_plus,
     norm_orbits,
@@ -120,7 +118,8 @@ def naive_coefficient(
 
     Only meaningful when the discriminant of the pair is negative, that is
     when omega = n - r^2/(4m) is positive (or n > 0 in plain mode).  The
-    caller is responsible for not asking about degenerate pairs.
+    caller is responsible for not asking about degenerate pairs, and for
+    checking that the term is rational.
     """
     omega = prob.omega
     assert omega > 0, "naive terms only exist for positive definite pairs"
@@ -137,13 +136,7 @@ def naive_coefficient(
     else:
         pref = sym(Fraction(4 * sgn), 1) * sqrt_rat(omega) \
             * sqrt_rat(prob.m * form.order).inverse()
-    result = pref * value
-    if not result.is_rational:
-        raise RationalityError(
-            "series coefficient term did not simplify to a rational: %r"
-            % (result,)
-        )
-    return result
+    return pref * value
 
 
 def _r_values(
@@ -152,9 +145,8 @@ def _r_values(
     beta: DFElement,
     gamma: DFElement,
     n: Fraction,
-    strict: bool,
 ) -> Iterator[Fraction]:
-    """Yield the r with r = -<gamma, beta> mod 1 and r^2 < 4mn (or = with strict=False)."""
+    """Yield the r with r = -<gamma, beta> mod 1 and r^2 <= 4mn, ascending."""
     bound = 4 * m * n
     if bound < 0:
         return
@@ -165,13 +157,7 @@ def _r_values(
         j -= 1
     j += 1
     while (r0 + j) * (r0 + j) <= bound:
-        r = r0 + j
-        if strict:
-            if r * r < bound:
-                yield r
-        else:
-            if r * r == bound:
-                yield r
+        yield r0 + j
         j += 1
 
 
@@ -188,7 +174,9 @@ def weight32_correction(
     total = SYM_ZERO
     sgn = _sign_const(form, THREE_HALVES)
     pref = sym(Fraction(sgn), 1) * sqrt_rat(2 * m * form.order).inverse()
-    for r in _r_values(form, m, beta, gamma, n, strict=False):
+    for r in _r_values(form, m, beta, gamma, n):
+        if r * r != 4 * m * n:
+            continue
         prob = CountingProblem(form, "jacobi", gamma, n, beta=beta, m=m, r=r)
         assert prob.degenerate
         value, _ = ltilde_at(prob, THREE_HALVES, budget=budget, cache=cache)
@@ -348,84 +336,15 @@ def weight2_correction(
     return (half + other) * sym(Fraction(1, 8)) * sqrt_rat(m).inverse()
 
 
-@dataclass(frozen=True)
-class CoefficientValue:
-    """Exact value of one Fourier coefficient.
-
-    Stored as a sum of terms c * sqrt(d) with rational c and distinct
-    squarefree d >= 1.  In practice at most two terms occur: a rational
-    part and a single square root part.
-    """
-
-    parts: tuple  # of (radicand, Fraction) pairs, radicand ascending
-
-    @staticmethod
-    def from_terms(terms: Sequence[SymbolicConstant]) -> "CoefficientValue":
-        acc: dict = {}
-        for term in terms:
-            if term.is_zero:
-                continue
-            assert term.pi_exp == 0, "coefficient terms must be pi-free"
-            assert term.phase % 4 == 0, "coefficient terms must be real"
-            signed = term.coeff if term.phase == 0 else -term.coeff
-            acc[term.radicand] = acc.get(term.radicand, Fraction(0)) + signed
-        parts = tuple(sorted((d, c) for d, c in acc.items() if c != 0))
-        return CoefficientValue(parts)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.parts
-
-    @property
-    def is_rational(self) -> bool:
-        return all(d == 1 for d, _ in self.parts)
-
-    def as_fraction(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        if not self.is_rational:
-            raise RationalityError("coefficient is irrational: %s" % (self,))
-        return self.parts[0][1]
-
-    def float_value(self) -> float:
-        total = 0.0
-        for d, c in self.parts:
-            total += float(c) * (d ** 0.5)
-        return total
-
-    def __add__(self, other: "CoefficientValue") -> "CoefficientValue":
-        acc = dict(self.parts)
-        for d, c in other.parts:
-            acc[d] = acc.get(d, Fraction(0)) + c
-        parts = tuple(sorted((d, c) for d, c in acc.items() if c != 0))
-        return CoefficientValue(parts)
-
-    def __neg__(self) -> "CoefficientValue":
-        return CoefficientValue(tuple((d, -c) for d, c in self.parts))
-
-    def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        pieces = []
-        for d, c in self.parts:
-            if d == 1:
-                pieces.append(str(c))
-            elif c == 1:
-                pieces.append("sqrt(%d)" % d)
-            elif c == -1:
-                pieces.append("-sqrt(%d)" % d)
-            else:
-                pieces.append("%s*sqrt(%d)" % (c, d))
-        out = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
-
-
-COEFF_ZERO = CoefficientValue(())
+def _rational_sum(terms: Sequence[SymbolicConstant]) -> Fraction:
+    """Sum the terms of one coefficient, each of which must be rational."""
+    total = Fraction(0)
+    for term in terms:
+        if not term.is_rational:
+            raise RationalityError(
+                "coefficient term did not simplify to a rational: %r" % (term,))
+        total += term.as_rational()
+    return total
 
 
 def pss_coefficient(
@@ -437,17 +356,19 @@ def pss_coefficient(
     n: Fraction,
     budget: int = DEFAULT_BUDGET,
     cache: Optional[LocalFactorCache] = None,
-) -> CoefficientValue:
+) -> Fraction:
     """Coefficient of q^n e_gamma in the Poincare square series Q_{k,m,beta}."""
     terms = [sym(identity_count(form, m, beta, gamma, n))]
-    for r in _r_values(form, m, beta, gamma, n, strict=True):
+    for r in _r_values(form, m, beta, gamma, n):
+        if r * r == 4 * m * n:
+            continue
         prob = CountingProblem(form, "jacobi", gamma, n, beta=beta, m=m, r=r)
         terms.append(naive_coefficient(prob, weight, budget, cache))
     if weight == THREE_HALVES:
         terms.append(weight32_correction(form, m, beta, gamma, n, budget, cache))
     else:
         terms.append(weight2_correction(form, m, beta, gamma, n, budget, cache))
-    return CoefficientValue.from_terms(terms)
+    return _rational_sum(terms)
 
 
 def plain_coefficient(
@@ -456,24 +377,17 @@ def plain_coefficient(
     n: Fraction,
     budget: int = DEFAULT_BUDGET,
     cache: Optional[LocalFactorCache] = None,
-) -> CoefficientValue:
+) -> Fraction:
     """Coefficient of q^n e_gamma in the weight 3/2 Eisenstein series."""
     if n == 0:
-        one = 1 if gamma == form.zero() else 0
-        return CoefficientValue.from_terms([sym(one)])
+        return Fraction(1 if gamma == form.zero() else 0)
     prob = CountingProblem(form, "plain", gamma, n)
     value, _ = ltilde_at(prob, THREE_HALVES, budget=budget, cache=cache)
     assert value is not None
     sgn = _sign_const(form, THREE_HALVES)
     pref = sym(Fraction(4 * sgn), 1, 2) * sqrt_rat(n) \
         * sqrt_rat(form.order).inverse()
-    term = pref * value
-    if not term.is_rational:
-        raise RationalityError(
-            "Eisenstein coefficient did not simplify to a rational: %r"
-            % (term,)
-        )
-    return CoefficientValue.from_terms([term])
+    return _rational_sum([pref * value])
 
 
 @dataclass(frozen=True)
@@ -508,7 +422,7 @@ class ExpansionComponent:
     gamma: tuple  # group coordinates
     lift: tuple  # canonical lift, for display
     offset: Fraction
-    coefficients: tuple  # of CoefficientValue, exponent offset + j
+    coefficients: tuple  # of Fraction, exponent offset + j
 
 
 @dataclass(frozen=True)
@@ -574,12 +488,10 @@ def _exponent_string(exponent: Fraction) -> str:
 def _series_string(comp: ExpansionComponent) -> str:
     pieces = []
     for j, value in enumerate(comp.coefficients):
-        if value.is_zero:
+        if value == 0:
             continue
         qpart = _exponent_string(comp.offset + j)
         vtext = str(value)
-        if " " in vtext or (not value.is_rational and qpart):
-            vtext = "(" + vtext + ")"
         if qpart:
             if vtext == "1":
                 piece = qpart
@@ -616,7 +528,7 @@ def _assemble_components(
 ) -> tuple:
     """Compute all components, exploiting the gamma -> -gamma symmetry.
 
-    ``coeff_fn`` maps a (gamma, n) pair to a CoefficientValue.  ``mapper``
+    ``coeff_fn`` maps a (gamma, n) pair to a Fraction.  ``mapper``
     is an optional map-like callable used to evaluate the task list; the
     output does not depend on evaluation order.
     """
@@ -641,7 +553,8 @@ def _assemble_components(
         key = min(gamma.coords, form.neg(gamma).coords)
         offset = (-form.q(gamma)) % 1
         components.append(ExpansionComponent(
-            gamma.coords, form.lift(gamma), offset, tuple(per_rep[key])))
+            gamma.coords, form.lift(gamma), offset,
+            tuple(per_rep.get(key, ()))))
     return tuple(components)
 
 
@@ -703,8 +616,8 @@ class ThetaCheckRecord:
     gamma: tuple
     n: Fraction
     r: Fraction
-    jacobi_value: CoefficientValue
-    plain_value: CoefficientValue
+    jacobi_value: Fraction
+    plain_value: Fraction
 
     @property
     def ok(self) -> bool:
@@ -737,7 +650,7 @@ def theta_crosscheck(
         offset = (-form.q(gamma)) % 1
         for n in _component_exponents(offset, precision):
             bound = 4 * m * n
-            for r in _iter_all_r(form, beta, gamma, bound):
+            for r in _r_values(form, Fraction(m), beta, gamma, n):
                 nprime = n - Fraction(r * r, 4 * m)
                 lift = list(form.lift(gamma)) + [Fraction(r, 2 * m) % 1]
                 mu = aug.element_from_lift(lift)
@@ -745,32 +658,14 @@ def theta_crosscheck(
                 if r * r < bound:
                     prob = CountingProblem(form, "jacobi", gamma, n,
                                            beta=beta, m=Fraction(m), r=r)
-                    jac = CoefficientValue.from_terms(
+                    jac = _rational_sum(
                         [naive_coefficient(prob, TWO, budget, cache)])
                 else:
                     lam = Fraction(r, 2 * m)
                     hit = (lam.denominator == 1
                            and form.scale(int(lam), beta) == gamma)
-                    jac = CoefficientValue.from_terms([sym(1 if hit else 0)])
+                    jac = Fraction(1 if hit else 0)
                 records.append(ThetaCheckRecord(
                     gamma.coords, n, r, jac, plain_val))
     return records
 
-
-def _iter_all_r(
-    form: DiscriminantForm,
-    beta: DFElement,
-    gamma: DFElement,
-    bound: Fraction,
-) -> Iterator[Fraction]:
-    """All admissible r with r^2 <= bound (degenerate pairs included)."""
-    if bound < 0:
-        return
-    r0 = (-form.pairing(gamma, beta)) % 1
-    j = 0
-    while (r0 + j) * (r0 + j) <= bound:
-        j -= 1
-    j += 1
-    while (r0 + j) * (r0 + j) <= bound:
-        yield r0 + j
-        j += 1

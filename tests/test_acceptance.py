@@ -93,10 +93,10 @@ def test_criterion_01_overpartition_series():
 def test_criterion_02_weight_two_trivial_lattice():
     exp = expansion("trivial2")
     comp = exp.component(())
-    assert comp.coefficients[0].as_fraction() == 1
+    assert comp.coefficients[0] == 1
     for n in range(1, 21):
         sigma1 = divisor_functions(n)[0]
-        assert comp.coefficients[n].as_fraction() == -24 * sigma1, n
+        assert comp.coefficients[n] == -24 * sigma1, n
     triv = form_of(GRAM_TRIVIAL)
     z = triv.zero()
     one = Fraction(1)
@@ -128,7 +128,7 @@ def test_criterion_04_split_lattice_closed_form():
             want = -16 * divisor_functions(n)[0]
         else:
             want = -24 * divisor_functions(n // 2)[0]
-        assert value.as_fraction() == want, n
+        assert value == want, n
     print("ACCEPTANCE 4: PASS")
 
 
@@ -143,7 +143,7 @@ def test_criterion_05_rank_three_eisenstein():
     form = form_of(GRAM_OVERPARTITION)
     half = form.element_from_lift((Fraction(0), Fraction(0), H))
     for n in range(3, 201, 4):
-        value = plain_coefficient(form, half, Fraction(n, 4)).as_fraction()
+        value = plain_coefficient(form, half, Fraction(n, 4))
         want = (-12 if n % 8 == 3 else -4) * hurwitz(n)
         assert value == want, n
     print("ACCEPTANCE 5: PASS")
@@ -155,9 +155,9 @@ def test_criterion_06_rank_one_eisenstein():
     half = form.element_from_lift((H,))
     for n in range(1, 101):
         if n % 4 == 0:
-            value = plain_coefficient(form, zero, Fraction(n, 4)).as_fraction()
+            value = plain_coefficient(form, zero, Fraction(n, 4))
         elif n % 4 == 3:
-            value = plain_coefficient(form, half, Fraction(n, 4)).as_fraction()
+            value = plain_coefficient(form, half, Fraction(n, 4))
         else:
             assert hurwitz(n) == 0, n
             continue
@@ -209,7 +209,7 @@ def _assert_rational_and_symmetric(name):
         partner = exp.component(form.lift(form.neg(gamma)))
         assert comp.coefficients == partner.coefficients, (name, comp.lift)
         for value in comp.coefficients:
-            value.as_fraction()  # raises on an irrational coefficient
+            assert isinstance(value, Fraction), (name, comp.lift)
 
 
 def _assert_shift_identity():

@@ -7,7 +7,7 @@ import sys
 
 from pss.cli import main
 
-from conftest import GRAM_OVERPARTITION, GRAM_SPLIT, GRAM_ZX2
+from conftest import GRAM_EIGHT, GRAM_OVERPARTITION, GRAM_SPLIT, GRAM_ZX2
 
 
 def run(capsys, *argv):
@@ -60,6 +60,25 @@ def test_eisenstein_text(capsys):
     lines = out.splitlines()
     assert lines[0] == "(0): 1 - 6*q - 12*q^2 - 16*q^3"
     assert lines[1] == "(1/2): -4*q^(3/4) - 12*q^(7/4) - 12*q^(11/4)"
+
+
+def test_precision_zero(capsys):
+    # a component whose first exponent lies above the precision is empty
+    rc, out, err = run(capsys, "eisenstein", "--gram", GRAM_ZX2, "--prec", "0")
+    assert rc == 0 and err == ""
+    assert out == "(0): 1\n(1/2): 0\n"
+    rc, out, err = run(
+        capsys, "compute", "--gram", GRAM_EIGHT, "--weight", "3/2", "--m", "1",
+        "--prec", "0", "--format", "json")
+    assert rc == 0 and err == ""
+    coeffs = {tuple(c["gamma"]): c["coefficients"]
+              for c in json.loads(out)["components"]}
+    h = "1/2"
+    assert coeffs.pop(("0", "0", "0")) == {"0": "1/2"}
+    assert coeffs.pop((h, "0", "0")) == {"0": "-1/2"}
+    assert coeffs.pop(("0", "0", h)) == {"0": "-1/2"}
+    assert len(coeffs) == 5
+    assert all(c == {} for c in coeffs.values()), coeffs
 
 
 # -- verify -----------------------------------------------------------------------
@@ -208,3 +227,34 @@ def test_cache_env_variable(tmp_path):
     second = _run_fresh(["eisenstein", "--gram", GRAM_ZX2, "--prec", "1"], env)
     assert second.returncode == 0
     assert first.stdout == second.stdout
+
+
+def test_cache_of_another_version_exits_two(tmp_path, capsys):
+    cache = tmp_path / "factors.json"
+    text = json.dumps({"version": 7, "entries": {}})
+    cache.write_text(text, encoding="utf-8")
+    argv = ["eisenstein", "--gram", GRAM_ZX2, "--prec", "1",
+            "--cache", str(cache)]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and str(cache) in err
+    assert cache.read_text(encoding="utf-8") == text
+    # the check must hold where asserts are stripped
+    proc = subprocess.run(
+        [sys.executable, "-O", "-m", "pss.cli"] + argv,
+        capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert str(cache) in proc.stderr
+    assert cache.read_text(encoding="utf-8") == text
+
+
+def test_truncated_cache_exits_two(tmp_path, capsys):
+    cache = tmp_path / "factors.json"
+    text = '{"version": 1, "entries": {"plain|'
+    cache.write_text(text, encoding="utf-8")
+    rc, out, err = run(
+        capsys, "eisenstein", "--gram", GRAM_ZX2, "--prec", "1",
+        "--cache", str(cache))
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and str(cache) in err
+    assert cache.read_text(encoding="utf-8") == text

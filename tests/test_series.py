@@ -5,10 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from pss import series_builder
 from pss.exact_arith import sym
 from pss.lattice_core import parse_gram
+from pss.cli import main
 from pss.series_builder import (
-    CoefficientValue,
     RationalityError,
     SeriesRequest,
     identity_count,
@@ -109,24 +110,23 @@ def test_weight2_correction_anchor():
     assert value == sym(-12)
 
 
-# -- coefficient container -------------------------------------------------------
+# -- rationality of coefficients ---------------------------------------------------
 
 
-def test_coefficient_value_merging():
-    val = CoefficientValue.from_terms([sym(2), sym(3, 0, 5), sym(-2)])
-    assert str(val) == "3*sqrt(5)"
-    assert not val.is_rational
+def test_irrational_term_raises_rationality_error(monkeypatch, capsys):
+    monkeypatch.setattr(series_builder, "weight2_correction",
+                        lambda *args: sym(3, 0, 5))
+    form = form_of(GRAM_TRIVIAL)
+    z = form.zero()
     with pytest.raises(RationalityError):
-        val.as_fraction()
-    rat = CoefficientValue.from_terms([sym(Fraction(-1, 2))])
-    assert str(rat) == "-1/2"
-    assert rat.as_fraction() == Fraction(-1, 2)
-    mixed = CoefficientValue.from_terms([sym(1), sym(2, 0, 5)])
-    assert str(mixed) == "1 + 2*sqrt(5)"
-    assert abs(mixed.float_value() - (1 + 2 * 5**0.5)) < 1e-12
-    assert (val + rat + -val) == rat
-    zero = CoefficientValue.from_terms([])
-    assert zero.is_zero and str(zero) == "0"
+        pss_coefficient(form, F2, Fraction(1), z, z, Fraction(1))
+    rc = main(["compute", "--gram", GRAM_TRIVIAL, "--weight", "2", "--m", "1",
+               "--prec", "1"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.out == ""
+    assert captured.err.startswith("rationality failure:")
+    assert "sqrt(5)" in captured.err
 
 
 # -- frozen expansions ------------------------------------------------------------
@@ -174,7 +174,7 @@ def test_weight32_series_vanishes_on_rank_one():
     # naive terms and the degenerate correction cancel at every exponent
     exp = expand(GRAM_ZX2, F32, Fraction(1), 3)
     for comp in exp.components:
-        assert all(c.is_zero for c in comp.coefficients), comp.lift
+        assert all(c == 0 for c in comp.coefficients), comp.lift
 
 
 def test_weight32_series_overpartition_lattice():
