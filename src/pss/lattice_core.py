@@ -13,9 +13,8 @@ import cmath
 import itertools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterator, Sequence
 
 
@@ -56,9 +55,6 @@ class GramMatrix:
         rows = [tuple(row) + (0,) * m for row in self.rows]
         rows += [(0,) * n + tuple(row) for row in other.rows]
         return GramMatrix(tuple(rows))
-
-    def to_lists(self) -> list[list[int]]:
-        return [list(row) for row in self.rows]
 
 
 def gram_from_rows(rows: Sequence[Sequence[int]]) -> GramMatrix:
@@ -201,6 +197,9 @@ class DiscriminantForm:
     order: int
     generator_lifts: tuple[tuple[Fraction, ...], ...]
     signature_pair: tuple[int, int]
+    # the rows of the Smith transform U at the generators: they map the
+    # vector S x of a dual vector x to its group coordinates
+    smith_rows: tuple[tuple[int, ...], ...] = field(repr=False, compare=False)
 
     # -- element bookkeeping ------------------------------------------------
 
@@ -245,12 +244,8 @@ class DiscriminantForm:
             if val.denominator != 1:
                 raise ValueError("vector is not in the dual lattice")
             sx.append(int(val))
-        full = [
-            sum(self._umat[i][j] * sx[j] for j in range(e))
-            for i in range(e)
-        ]
-        coords = [full[i] for i in self._gen_positions]
-        return self.element(coords)
+        return self.element(
+            [sum(u * x for u, x in zip(row, sx)) for row in self.smith_rows])
 
     # -- invariants ----------------------------------------------------------
 
@@ -289,28 +284,6 @@ class DiscriminantForm:
 
     def label(self, x: DFElement) -> str:
         return "(" + ",".join(str(c) for c in self.lift(x)) + ")"
-
-    # internal transform data, set by build_discriminant_form
-    @property
-    def _umat(self) -> tuple[tuple[int, ...], ...]:
-        return _snf_cache(self.gram)[0]
-
-    @property
-    def _gen_positions(self) -> tuple[int, ...]:
-        return _snf_cache(self.gram)[2]
-
-
-@lru_cache(maxsize=None)
-def _snf_cache(
-    gram: GramMatrix,
-) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], tuple[int, ...]]:
-    u, diag, v = smith_normal_form(gram.rows)
-    positions = tuple(i for i, d in enumerate(diag) if d > 1)
-    return (
-        tuple(tuple(row) for row in u),
-        tuple(diag),
-        positions,
-    )
 
 
 def _signature_pair(gram: GramMatrix) -> tuple[int, int]:
@@ -379,6 +352,7 @@ def build_discriminant_form(gram: GramMatrix) -> DiscriminantForm:
         order=order,
         generator_lifts=lifts,
         signature_pair=_signature_pair(gram),
+        smith_rows=tuple(tuple(u[i]) for i, d in enumerate(diag) if d > 1),
     )
     _check_milgram(form)
     return form

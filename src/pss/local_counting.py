@@ -15,9 +15,8 @@ import itertools
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .exact_arith import (
@@ -67,6 +66,8 @@ class CountingProblem:
     beta: Optional[DFElement] = None
     m: Optional[Fraction] = None
     r: Optional[Fraction] = None
+    # the integer triple (A, b, c) of the counting polynomial
+    integer_data: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.mode not in ("jacobi", "plain"):
@@ -76,7 +77,8 @@ class CountingProblem:
                 raise ValueError("jacobi problems need beta, m and r")
             if self.m <= 0:
                 raise ValueError("the index m must be positive")
-        _integer_data(self)  # validates the integrality congruences
+        # computing the triple validates the integrality congruences
+        object.__setattr__(self, "integer_data", _integer_data(self))
 
     @property
     def dimension(self) -> int:
@@ -94,7 +96,6 @@ class CountingProblem:
         return self.omega == 0
 
 
-@lru_cache(maxsize=None)
 def _integer_data(
     prob: CountingProblem,
 ) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...], int]:
@@ -427,7 +428,7 @@ def count_solutions(
     """Number of solutions of the counting polynomial modulo p**nu."""
     assert _is_prime(p), "p must be prime"
     assert nu >= 0
-    a, b, c = _integer_data(prob)
+    a, b, c = prob.integer_data
     return _count(a, b, c, p, nu, {}, [budget])
 
 
@@ -504,7 +505,7 @@ class LocalFactor:
 def _fit_local_factor(
     prob: CountingProblem, p: int, budget: int
 ) -> LocalFactor:
-    a, b, c = _integer_data(prob)
+    a, b, c = prob.integer_data
     w = len(b)
     assert w >= 1
     memo: dict = {}
@@ -535,10 +536,6 @@ def _fit_local_factor(
     raise FitError(
         f"local factor at p={p} did not stabilize within {_MAX_NU} counts"
     )
-
-
-# in-process store; the file cache below seeds and persists it
-_FACTOR_MEMO: dict[tuple[str, int], LocalFactor] = {}
 
 
 def _problem_key(prob: CountingProblem) -> str:
@@ -572,7 +569,15 @@ class LocalFactorCache:
                 raise ValueError(
                     "cache file %s has an unknown format (want version 1)"
                     % path)
-            for key, (p, dim, nums, ver) in raw.get("entries", {}).items():
+            entries = raw.get("entries", {})
+            if not isinstance(entries, dict):
+                raise ValueError(
+                    "cache file %s: \"entries\" is not an object" % path)
+            for key, entry in entries.items():
+                if not _is_entry(entry):
+                    raise ValueError(
+                        "cache file %s: malformed entry %s" % (path, key))
+                p, dim, nums, ver = entry
                 self.entries[key] = LocalFactor(p, dim, tuple(nums), ver)
         self._dirty = False
 
@@ -593,9 +598,27 @@ class LocalFactorCache:
                 for k, f in sorted(self.entries.items())
             },
         }
-        with open(self.path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=1, sort_keys=True)
+        # write beside the file and rename, so that a failed write leaves
+        # the old file whole; the pid keeps concurrent processes apart
+        tmp = "%s.%d.tmp" % (self.path, os.getpid())
+        fh = open(tmp, "w", encoding="utf-8")
+        try:
+            with fh:
+                json.dump(payload, fh, indent=1, sort_keys=True)
+            os.replace(tmp, self.path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
         self._dirty = False
+
+
+def _is_entry(entry) -> bool:
+    """Whether a cache entry is [int p, int dim, [int, ...], int or null]."""
+    if not (isinstance(entry, list) and len(entry) == 4
+            and isinstance(entry[2], list)):
+        return False
+    ints = entry[:2] + entry[2] + ([] if entry[3] is None else [entry[3]])
+    return all(type(x) is int for x in ints)
 
 
 def _class_representative(prob: CountingProblem) -> CountingProblem:
@@ -632,25 +655,20 @@ def local_factor(
 
     Counts are extended until the numerator recurrence produces three
     consecutive zeros, which pins the rational function and makes the next
-    three counts genuine predictions.  The fit, its memo entry and its
-    cache entry belong to the Jacobi class of the problem: every translate
-    shares those of the representative (see ``_class_representative``).
+    three counts genuine predictions.  The fit and its cache entry belong
+    to the Jacobi class of the problem: every translate shares those of
+    the representative (see ``_class_representative``).
     """
     assert _is_prime(p)
     prob = _class_representative(prob)
-    key = (_problem_key(prob), p)
-    hit = _FACTOR_MEMO.get(key)
-    if hit is not None:
-        return hit
+    key = f"{_problem_key(prob)}|p{p}"
     if cache is not None:
-        stored = cache.lookup(f"{key[0]}|p{p}")
+        stored = cache.lookup(key)
         if stored is not None:
-            _FACTOR_MEMO[key] = stored
             return stored
     factor = _fit_local_factor(prob, p, budget)
-    _FACTOR_MEMO[key] = factor
     if cache is not None:
-        cache.store(f"{key[0]}|p{p}", factor)
+        cache.store(key, factor)
     return factor
 
 
@@ -781,6 +799,10 @@ def _mode_parameters(prob: CountingProblem, weight: Fraction) -> tuple[int, int]
     return (w + 1) // 2, (e - 3) // 2
 
 
+# the package's one per-problem memo: (class key, weight, extra bad) -> result
+_LTILDE_MEMO: dict[tuple, tuple[Optional[SymbolicConstant], SymbolicConstant]] = {}
+
+
 def ltilde_at(
     prob: CountingProblem,
     weight: Fraction,
@@ -794,9 +816,17 @@ def ltilde_at(
     is 0 (None at a genuine pole, 0 past a zero), and the residue when the
     order is 1 (else 0).  ``extra_bad`` moves additional good primes into
     the bad set, which must not change the result; it exists for testing
-    and cross-checking.
+    and cross-checking.  The result depends only on the Jacobi class of
+    the problem, so it is computed once per class, on its representative;
+    a miss fetches each bad prime's local factor once for the class.
     """
     weight = Fraction(weight)
+    extra_bad = tuple(sorted(set(extra_bad)))
+    prob = _class_representative(prob)
+    key = (_problem_key(prob), weight, extra_bad)
+    hit = _LTILDE_MEMO.get(key)
+    if hit is not None:
+        return hit
     sigma0, u = _mode_parameters(prob, weight)
     data = bad_primes_and_discriminants(prob)
     bad = sorted(set(data.bad_primes) | set(extra_bad))
@@ -829,5 +859,5 @@ def ltilde_at(
             if prob.degenerate:
                 out = out * euler_monomial(p, -1, 4)
     value = out.value() if out.pole_order <= 0 else None
-    residue = out.residue()
-    return value, residue
+    result = _LTILDE_MEMO[key] = value, out.residue()
+    return result

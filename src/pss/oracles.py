@@ -7,7 +7,6 @@ the series coefficients and the classical identities they satisfy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache

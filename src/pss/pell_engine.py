@@ -15,7 +15,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Union
 
-from .exact_arith import SymbolicConstant, is_square, squarefree_split, sym
+from .exact_arith import SymbolicConstant, squarefree_split, sym
 
 _Rat = Union[int, Fraction]
 
@@ -157,10 +157,6 @@ class QuadraticElement:
 
     def __repr__(self) -> str:
         return f"({self.x} + {self.y}*sqrt({self.d}))"
-
-
-def _one(d: int) -> QuadraticElement:
-    return QuadraticElement(d, Fraction(1), Fraction(0))
 
 
 @lru_cache(maxsize=None)
@@ -326,21 +322,6 @@ def family_sum(xi: QuadraticElement, eta: QuadraticElement) -> QuadraticElement:
     return val
 
 
-def congruent_unit(
-    mu: QuadraticElement, eps1: QuadraticElement, modulus: int
-) -> QuadraticElement:
-    """Smallest power of eps1 preserving the trace of mu modulo the modulus."""
-    assert modulus >= 1
-    power = eps1
-    for _ in range(4 * modulus * modulus + 16):
-        diff = (mu - mu * power).trace
-        assert diff.denominator == 1
-        if int(diff) % modulus == 0:
-            return power
-        power = power * eps1
-    raise RuntimeError("no congruent unit power found within the group bound")
-
-
 def unit_order_mod(eps1: QuadraticElement, modulus: int) -> int:
     """Least j >= 1 with eps1**j = 1 in the maximal order modulo the modulus."""
     assert modulus >= 1
@@ -351,29 +332,3 @@ def unit_order_mod(eps1: QuadraticElement, modulus: int) -> int:
             return j
         power = power * eps1
     raise RuntimeError("unit order modulo the modulus exceeded the group bound")
-
-
-def scan_r_solutions(
-    d_full: int,
-    c_full: int,
-    congruence: tuple[int, int],
-    bound: float,
-) -> list[int]:
-    """Brute force traces t <= bound with t^2 - 4c a d-multiple of a square.
-
-    The congruence pair (b0, M) restricts t to b0 mod M.  This is the
-    independent cross-check for the orbit machinery.
-    """
-    b0, mod = congruence
-    assert mod >= 1 and d_full > 0
-    out = []
-    start = b0 % mod
-    if start == 0:
-        start = mod
-    for t in range(start, int(bound) + 1, mod):
-        disc = t * t - 4 * c_full
-        if disc < 0 or disc % d_full:
-            continue
-        if is_square(disc // d_full):
-            out.append(t)
-    return out

@@ -190,9 +190,6 @@ def weight32_correction(
     return total
 
 
-_SHADOW_MEMO: dict = {}
-
-
 def shadow_constant(
     form: DiscriminantForm,
     m: Fraction,
@@ -211,10 +208,6 @@ def shadow_constant(
     square root only cancels later, against the unit orbit sums, so it must
     not be rejected here.
     """
-    key = (form.gram.rows, m, beta.coords, gamma.coords, n, r)
-    hit = _SHADOW_MEMO.get(key)
-    if hit is not None:
-        return hit
     prob = CountingProblem(form, "jacobi", gamma, n, beta=beta, m=m, r=r)
     _, residue = ltilde_at(prob, TWO, budget=budget, cache=cache)
     sgn = _sign_const(form, TWO)
@@ -224,7 +217,6 @@ def shadow_constant(
             "shadow constant did not simplify to a real algebraic value: %r"
             % (raw,)
         )
-    _SHADOW_MEMO[key] = raw
     return raw
 
 
@@ -245,8 +237,7 @@ def _a_full(
     sums.
     """
     value = shadow_constant(form, m, beta, gamma, n, r, budget, cache)
-    prob = CountingProblem(form, "jacobi", gamma, n, beta=beta, m=m, r=r)
-    if prob.degenerate:
+    if r * r == 4 * m * n:
         value = value * 2
     return value
 

@@ -1,16 +1,19 @@
 """End-to-end acceptance checks.
 
 Each test covers one acceptance criterion and prints one PASS line once its
-assertions hold.  The module runs first in the suite, so the local factor
-memo it warms up makes the later regression suites cheap.
+assertions hold.  The module runs first in the suite, so the L-value memo
+it warms up makes the later regression suites cheap.
 """
 
 import time
 from fractions import Fraction
 
+import pytest
+
+from pss import local_counting
 from pss.exact_arith import divisor_functions, sym
 from pss.lattice_core import build_discriminant_form, parse_gram
-from pss.local_counting import _FACTOR_MEMO, count_solutions, local_factor, ltilde_at
+from pss.local_counting import count_solutions, local_factor, ltilde_at
 from pss.oracles import check_kronecker_hurwitz, check_prop20, hurwitz
 from pss.pell_engine import (
     family_sum,
@@ -55,6 +58,22 @@ _REQUESTS = {
 }
 
 _EXPANSIONS = {}
+_FITTED = []
+
+
+@pytest.fixture(scope="module", autouse=True)
+def record_fits():
+    """Record every local factor that is fitted while this module runs."""
+    fit = local_counting._fit_local_factor
+
+    def recording_fit(*args):
+        factor = fit(*args)
+        _FITTED.append(factor)
+        return factor
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(local_counting, "_fit_local_factor", recording_fit)
+        yield
 
 
 def expansion(name):
@@ -259,9 +278,8 @@ def _assert_hyperbolic_stability():
 
 
 def _assert_factor_holdouts():
-    fitted = [f for f in _FACTOR_MEMO.values() if f.verified_through is not None]
-    assert fitted, "no fitted factors were recorded"
-    for factor in fitted:
+    assert _FITTED, "no fitted factors were recorded"
+    for factor in _FITTED:
         degree = len(factor.numerator) - 1
         assert factor.verified_through - degree >= 3, factor
     # an explicit recount of the last three verified prime powers on a sample

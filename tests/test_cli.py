@@ -168,7 +168,7 @@ def test_missing_gram_exits_two(capsys):
 
 
 def test_budget_exhaustion_exits_one():
-    # a fresh interpreter, so factors memoised by earlier tests cannot let
+    # a fresh interpreter, so L-values memoised by earlier tests cannot let
     # the computation finish before the budget check fires
     proc = _run_fresh(
         ["eisenstein", "--gram", GRAM_OVERPARTITION, "--prec", "2",
@@ -198,8 +198,8 @@ def test_gram_file(tmp_path, capsys):
 
 
 def _run_fresh(argv, env=None):
-    # a separate interpreter, so the in-process factor memo cannot mask the
-    # cache file handling
+    # a separate interpreter, so the in-process L-value memo cannot mask
+    # the cache file handling
     code = "from pss.cli import main; raise SystemExit(main(%r))" % (argv,)
     return subprocess.run(
         [sys.executable, "-c", code],
@@ -258,3 +258,16 @@ def test_truncated_cache_exits_two(tmp_path, capsys):
     assert rc == 2 and out == ""
     assert err.startswith("error:") and str(cache) in err
     assert cache.read_text(encoding="utf-8") == text
+
+
+def test_malformed_cache_entries_exit_two(tmp_path, capsys):
+    cache = tmp_path / "factors.json"
+    for entries in ([], {"plain|p2": [2, 1]}):
+        text = json.dumps({"version": 1, "entries": entries})
+        cache.write_text(text, encoding="utf-8")
+        rc, out, err = run(
+            capsys, "eisenstein", "--gram", GRAM_ZX2, "--prec", "1",
+            "--cache", str(cache))
+        assert rc == 2 and out == "", entries
+        assert err.startswith("error:") and str(cache) in err, err
+        assert cache.read_text(encoding="utf-8") == text

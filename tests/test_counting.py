@@ -6,20 +6,22 @@ from fractions import Fraction
 
 import pytest
 
+from pss import local_counting
 from pss.exact_arith import SYM_ZERO
 from pss.lattice_core import build_discriminant_form, parse_gram
 from pss.local_counting import (
     DEFAULT_BUDGET,
     BudgetError,
     CountingProblem,
+    LocalFactor,
     LocalFactorCache,
     bad_primes_and_discriminants,
     count_solutions,
     good_prime_factor,
     local_factor,
     ltilde_at,
+    _LTILDE_MEMO,
     _fit_local_factor,
-    _integer_data,
     _poly_value,
 )
 
@@ -43,7 +45,7 @@ def plain(form, gamma_lift, n):
 
 
 def brute_count(prob, p, nu):
-    a, b, c = _integer_data(prob)
+    a, b, c = prob.integer_data
     mod = p**nu
     total = 0
     for x in itertools.product(range(mod), repeat=len(b)):
@@ -216,9 +218,14 @@ JACOBI_CLASSES = [
 ]
 
 
-def test_jacobi_translates_share_one_fit():
-    from pss.local_counting import _FACTOR_MEMO
+def test_jacobi_translates_share_one_fit(monkeypatch):
+    fitted = []
 
+    def counted_fit(prob, p, budget):
+        fitted.append(p)
+        return _fit_local_factor(prob, p, budget)
+
+    monkeypatch.setattr(local_counting, "_fit_local_factor", counted_fit)
     for base, shifts, weight in JACOBI_CLASSES:
         members = [base] + [_translate(base, k) for k in shifts]
         for prob in members[1:]:
@@ -228,21 +235,23 @@ def test_jacobi_translates_share_one_fit():
                     assert count_solutions(prob, p, nu) == count_solutions(
                         base, p, nu
                     ), (prob, p, nu)
-            assert ltilde_at(prob, weight) == ltilde_at(base, weight), prob
             for p in (2, 3):
                 assert _fit_local_factor(prob, p, DEFAULT_BUDGET) == (
                     _fit_local_factor(base, p, DEFAULT_BUDGET)
                 ), (prob, p)
-        saved = dict(_FACTOR_MEMO)
+        saved = dict(_LTILDE_MEMO)
         try:
-            for p in (2, 3):
-                _FACTOR_MEMO.clear()
-                factors = [local_factor(prob, p) for prob in members]
-                assert all(f == factors[0] for f in factors), (base, p)
-                assert len(_FACTOR_MEMO) == 1, (base, p)
+            # the whole class fits each bad prime once and fills one entry
+            _LTILDE_MEMO.clear()
+            fitted.clear()
+            values = [ltilde_at(prob, weight) for prob in members]
+            assert all(v == values[0] for v in values), base
+            assert sorted(fitted) == list(
+                bad_primes_and_discriminants(base).bad_primes), (base, fitted)
+            assert len(_LTILDE_MEMO) == 1, base
         finally:
-            _FACTOR_MEMO.clear()
-            _FACTOR_MEMO.update(saved)
+            _LTILDE_MEMO.clear()
+            _LTILDE_MEMO.update(saved)
 
 
 # -- discriminant data -------------------------------------------------------
@@ -383,14 +392,10 @@ def test_problem_validation():
         plain(zx2, (Fraction(1, 2),), 1)  # n must match -q(gamma) mod 1
 
 
-def test_cache_roundtrip(tmp_path):
-    from pss.local_counting import _FACTOR_MEMO, _problem_key
-
+def test_cache_roundtrip(tmp_path, monkeypatch):
     path = str(tmp_path / "factors.json")
     cache = LocalFactorCache(path)
     prob = jacobi(form_of(""), (), 3)
-    key = (_problem_key(prob), 7)
-    _FACTOR_MEMO.pop(key, None)
     factor = local_factor(prob, 7, cache=cache)
     cache.save()
     reloaded = LocalFactorCache(path)
@@ -398,6 +403,28 @@ def test_cache_roundtrip(tmp_path):
     stored = list(reloaded.entries.values())[0]
     assert stored == factor
     # a preseeded cache short circuits the fit entirely
-    _FACTOR_MEMO.pop(key, None)
+
+    def no_fit(*args):
+        raise AssertionError("the cached factor was fitted again")
+
+    monkeypatch.setattr(local_counting, "_fit_local_factor", no_fit)
     again = local_factor(prob, 7, cache=reloaded)
     assert again == factor
+
+
+def test_failed_cache_save_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "factors.json"
+    cache = LocalFactorCache(str(path))
+    cache.store("k|p2", LocalFactor(2, 1, (1, 0, -1), 8))
+    cache.save()
+    before = path.read_bytes()
+    cache.store("k|p3", LocalFactor(3, 1, (1, 0, -1), 8))
+
+    def failing_dump(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(local_counting.json, "dump", failing_dump)
+    with pytest.raises(OSError):
+        cache.save()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["factors.json"]

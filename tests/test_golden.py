@@ -16,24 +16,27 @@ from pss.series_builder import SeriesRequest, pss_expansion
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# file stem -> (gram, weight or None for the plain series, m, precision)
+# file stem -> (gram, weight or None for the plain series, m, precision,
+# beta as a lift or None for beta = 0)
 CASES = {
-    "zx2_plain_p40": ("[[2]]", None, None, 40),
-    "trivial_w2_p12": ("", "2", "1", 12),
-    "split_w2_p1": ("[[2,0],[0,-2]]", "2", "1", 1),
-    "zx2_w32_p5": ("[[2]]", "3/2", "1", 5),
-    "nonsquare8_w2_p1": ("[[2,2],[2,-2]]", "2", "1", 1),
+    "zx2_plain_p40": ("[[2]]", None, None, 40, None),
+    "trivial_w2_p12": ("", "2", "1", 12, None),
+    "split_w2_p1": ("[[2,0],[0,-2]]", "2", "1", 1, None),
+    "zx2_w32_p5": ("[[2]]", "3/2", "1", 5, None),
+    "nonsquare8_w2_p1": ("[[2,2],[2,-2]]", "2", "1", 1, None),
+    # beta of order d = 2, so Jacobi class representatives step r by 2md
+    "split_twist_w2_p1": ("[[2,0],[0,-2]]", "2", "3/4", 1, ("1/2", "0")),
 }
 
 
 def render(stem):
     """The corpus text of one case, as the current code computes it."""
-    gram, weight, m, precision = CASES[stem]
+    gram, weight, m, precision, beta = CASES[stem]
     request = SeriesRequest(
         parse_gram(gram),
         None if weight is None else Fraction(weight),
         None if m is None else Fraction(m),
-        None,
+        None if beta is None else tuple(Fraction(v) for v in beta),
         precision,
     )
     return pss_expansion(request).to_json() + "\n"

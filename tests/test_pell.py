@@ -7,16 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pss.exact_arith import sym
+from pss.exact_arith import is_square, sym
 from pss.pell_engine import (
     QuadraticElement,
     balanced_representative,
-    congruent_unit,
     family_sum,
     fundamental_unit_plus,
     norm_orbits,
     orbit_sum,
-    scan_r_solutions,
     trace_bound,
     unit_order_mod,
 )
@@ -145,6 +143,22 @@ def test_orbit_representatives_are_canonical():
 def test_trace_bound_value():
     assert abs(trace_bound(33, 4) - 27.122905621972617) < 1e-9
     assert trace_bound(33, 4) < 28
+
+
+def scan_r_solutions(d_full, c_full, congruence, bound):
+    """Brute force traces t <= bound with t^2 - 4c a d-multiple of a square.
+
+    The congruence pair (b0, M) restricts t to b0 mod M.  This is the
+    independent cross-check for the orbit machinery.
+    """
+    b0, mod = congruence
+    start = b0 % mod or mod
+    out = []
+    for t in range(start, int(bound) + 1, mod):
+        disc = t * t - 4 * c_full
+        if disc >= 0 and disc % d_full == 0 and is_square(disc // d_full):
+            out.append(t)
+    return out
 
 
 def test_scan_agrees_with_orbits():
@@ -283,12 +297,3 @@ def test_unit_order_is_minimal():
             assert not w.is_integral()
         w = (e5**j - 1) * Fraction(1, modulus)
         assert w.is_integral()
-
-
-def test_congruent_unit():
-    e5 = fundamental_unit_plus(5)
-    mu = QuadraticElement.half(5, 5, 1)
-    cu = congruent_unit(mu, e5, 5)
-    diff = (mu - mu * cu).trace
-    assert diff.denominator == 1 and int(diff) % 5 == 0
-    assert cu.norm() == 1

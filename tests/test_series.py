@@ -178,7 +178,7 @@ def test_weight32_series_vanishes_on_rank_one():
 
 
 def test_weight32_series_overpartition_lattice():
-    # cheap when the acceptance module has already warmed the factor memo
+    # cheap when the acceptance module has already warmed the L-value memo
     exp = expand(GRAM_EIGHT, F32, Fraction(1), 3)
     assert len(exp.components) == 8
     h = Fraction(1, 2)
@@ -213,7 +213,7 @@ def test_weight2_series_split_lattice():
 def test_weight2_series_nonsquare_discriminant():
     # exercises unit orbit walks in a real quadratic field; the square roots
     # from the shadow constants must cancel against the orbit sums exactly.
-    # cheap when the acceptance module has already warmed the factor memo
+    # cheap when the acceptance module has already warmed the L-value memo
     exp = expand(GRAM_NONSQUARE, F2, Fraction(1), 3)
     assert series_of(exp, (0, 0)) == ["1", "-30", "-20", "-40"]
     fifth = Fraction(1, 5)
